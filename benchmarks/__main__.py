@@ -4,6 +4,9 @@ Writes one ``results/BENCH_<name>.json`` per benchmark and prints a
 one-line summary each.  ``--smoke`` shrinks the workloads to a few
 seconds total (the CI mode — it validates the harness, not the numbers);
 ``--out`` redirects the JSON records, e.g. to compare two working trees.
+
+A bench whose acceptance gate asserts is reported as failed and writes no
+record; the remaining benches still run, and the exit status is non-zero.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ def main(argv=None) -> int:
     names = args.only or list(BENCHES)
     failures = 0
     for name in names:
-        path, payload = BENCHES[name](smoke=args.smoke, out_dir=args.out)
+        try:
+            path, payload = BENCHES[name](smoke=args.smoke, out_dir=args.out)
+        except AssertionError as exc:
+            print(f"  !! {name}: gate failed: {exc}")
+            failures += 1
+            continue
         print(summarize(payload))
         print(f"  -> {path}")
         for flag in (

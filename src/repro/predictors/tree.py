@@ -1,13 +1,18 @@
 """CART regression trees in pure numpy, plus the zoo's tree predictor.
 
-`_RegressionTree` is the shared engine: variance-reduction splits found by
-a vectorised prefix-sum scan per feature (no Python loop over candidate
-thresholds), stored as flat parallel arrays so prediction is a branch-free
-array walk and serialisation is plain lists.  Ties between equally good
-splits resolve to the lowest feature index and then the lowest threshold,
-which is what makes tree fits — and everything stacked on them
-(`RandomForestPredictor`, `GradientBoostingPredictor`) — bit-reproducible
-across platforms.
+`_RegressionTree` is the shared engine behind `cart`, `rf` and `gb`.  A
+fit argsorts every feature column once; each split partitions that
+per-column row order with the split mask, which keeps every column
+sorted, so no node sorts again.  At a node, gathering the targets
+through the order and taking prefix sums down the columns scores every
+candidate threshold of every feature in one 2-D pass: the
+variance-reduction split search has no Python loop over features or
+thresholds.  Trees are stored as flat parallel arrays, so prediction is
+a branch-free array walk and serialisation is plain lists.  Ties between
+equally good splits resolve to the lowest feature index and then the
+lowest threshold, which is what makes tree fits — and everything stacked
+on them (`RandomForestPredictor`, `GradientBoostingPredictor`) —
+bit-reproducible across platforms.
 
 `CARTPredictor` wraps one tree in the zoo's predictor protocol.
 """
@@ -43,51 +48,57 @@ class _RegressionTree:
 
     @staticmethod
     def _best_split(
-        X: np.ndarray, y: np.ndarray, min_samples_leaf: int
+        X: np.ndarray, y: np.ndarray, order: np.ndarray, min_samples_leaf: int
     ) -> "Optional[tuple[int, float]]":
         """(feature, threshold) minimising the children's summed SSE.
 
-        For each feature the targets are scanned in sorted feature order;
-        prefix sums give every candidate split's left/right SSE in one
-        vectorised pass.  Splits are only allowed between *distinct*
+        ``order`` is the node's presort: column ``k`` lists the node's rows
+        by ascending ``X[:, k]``, ties by row index.  Gathering the targets
+        through it gives every feature's scan order at once, and prefix
+        sums down the columns give every candidate split's left/right SSE
+        in one 2-D pass.  Splits are only allowed between *distinct*
         feature values and where both children keep ``min_samples_leaf``.
+        The first minimum of each column (lowest threshold) is that
+        feature's candidate; the lowest feature holding the overall
+        minimum wins.
         """
-        n = y.shape[0]
-        best_score = np.inf
-        best: Optional[tuple[int, float]] = None
-        for j in range(X.shape[1]):
-            xj = X[:, j]
-            order = np.argsort(xj, kind="stable")
-            xs, ys = xj[order], y[order]
-            # i = size of the left child, 1..n-1.
-            i = np.arange(1, n)
-            csum = np.cumsum(ys)[:-1]
-            csum2 = np.cumsum(ys * ys)[:-1]
-            total, total2 = csum[-1] + ys[-1], csum2[-1] + ys[-1] ** 2
-            sse = (
-                (csum2 - csum * csum / i)
-                + ((total2 - csum2) - (total - csum) ** 2 / (n - i))
-            )
-            valid = (
-                (xs[1:] > xs[:-1])
-                & (i >= min_samples_leaf)
-                & (n - i >= min_samples_leaf)
-            )
-            if not valid.any():
-                continue
-            sse = np.where(valid, sse, np.inf)
-            pos = int(np.argmin(sse))  # first minimum -> lowest threshold
-            if sse[pos] < best_score:  # strict -> lowest feature index wins
-                best_score = float(sse[pos])
-                t = (xs[pos] + xs[pos + 1]) / 2.0
-                if t >= xs[pos + 1]:
-                    # The midpoint of two nearly-adjacent floats can round
-                    # up to the right value; ``X <= t`` would then send
-                    # every row left and leave an empty child.  Fall back
-                    # to the left value, which splits exactly as scored.
-                    t = xs[pos]
-                best = (j, float(t))
-        return best
+        n, d = order.shape
+        cols = np.arange(d)
+        xs, ys = X[order, cols], y[order]
+        csum = np.cumsum(ys, axis=0)
+        csum2 = np.cumsum(ys * ys, axis=0)
+        # The last row's square stays a scalar ``**`` (a libm power): an
+        # array square computes x*x, which differs from it in the last
+        # bit for some doubles, and that bit can flip a near-tied split.
+        total = csum[-1]
+        total2 = csum2[-2] + np.array([v**2 for v in ys[-1]], dtype=float)
+        csum, csum2 = csum[:-1], csum2[:-1]
+        # i = size of the left child, 1..n-1.
+        i = np.arange(1, n)
+        sse = (csum2 - csum * csum / i[:, None]) + (
+            (total2 - csum2) - (total - csum) ** 2 / (n - i)[:, None]
+        )
+        band = (i >= min_samples_leaf) & (n - i >= min_samples_leaf)
+        valid = (xs[1:] > xs[:-1]) & band[:, None]
+        sse = np.where(valid, sse, np.inf)
+        pos = np.argmin(sse, axis=0)  # first minimum -> lowest threshold
+        score = sse[pos, cols]
+        # Columns without a valid split, or whose first minimum is NaN,
+        # fail ``< inf`` and never win.
+        ok = score < np.inf
+        if not ok.any():
+            return None
+        # First minimum -> lowest feature index.
+        j = int(np.argmin(np.where(ok, score, np.inf)))
+        lo, hi = xs[pos[j], j], xs[pos[j] + 1, j]
+        t = (lo + hi) / 2.0
+        if t >= hi:
+            # The midpoint of two nearly-adjacent floats can round up to
+            # the right value; ``X <= t`` would then send every row left
+            # and leave an empty child.  Fall back to the left value,
+            # which splits exactly as scored.
+            t = lo
+        return j, float(t)
 
     def fit(
         self,
@@ -99,33 +110,45 @@ class _RegressionTree:
         min_samples_leaf: int,
     ) -> "_RegressionTree":
         feature, threshold, left, right, value = [], [], [], [], []
+        d = X.shape[1]
 
-        def build(idx: np.ndarray, depth: int) -> int:
+        def build(idx: np.ndarray, order: np.ndarray, depth: int) -> int:
+            # ``idx``: the node's rows ascending (the leaf mean's summation
+            # order); ``order``: the same rows presorted per column.
             node = len(feature)
+            sub_y = y[idx]
             feature.append(_NO_FEATURE)
             threshold.append(0.0)
             left.append(node)
             right.append(node)
-            value.append(float(y[idx].mean()))
-            sub_y = y[idx]
+            value.append(float(sub_y.mean()))
             if (
                 depth >= max_depth
                 or idx.size < min_samples_split
                 or np.ptp(sub_y) == 0.0
             ):
                 return node
-            split = self._best_split(X[idx], sub_y, min_samples_leaf)
+            split = self._best_split(X, y, order, min_samples_leaf)
             if split is None:
                 return node
             j, t = split
-            go_left = X[idx, j] <= t
+            is_left = X[:, j] <= t
+            go_left = is_left[idx]
+            # Boolean selection down each column keeps its sorted order.
+            in_left = is_left[order].T
+            left_order = order.T[in_left].reshape(d, -1).T
+            right_order = order.T[~in_left].reshape(d, -1).T
             feature[node] = j
             threshold[node] = t
-            left[node] = build(idx[go_left], depth + 1)
-            right[node] = build(idx[~go_left], depth + 1)
+            left[node] = build(idx[go_left], left_order, depth + 1)
+            right[node] = build(idx[~go_left], right_order, depth + 1)
             return node
 
-        build(np.arange(X.shape[0]), 0)
+        build(
+            np.arange(X.shape[0]),
+            np.argsort(X, axis=0, kind="stable"),
+            0,
+        )
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
