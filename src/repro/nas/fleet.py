@@ -3,11 +3,11 @@
 A single seeded search is an anecdote; reviewers (and deployments) want
 the distribution.  `SearchFleet` runs the *same* search — driver, budgets,
 constraints, warm start — under N different seeds, farms the members out
-to a spawn-safe process pool (falling back to serial execution when the
-pool cannot be created or breaks mid-fleet, exactly like
-`repro.profiling.campaign.CampaignRunner`), and aggregates the per-seed
-Pareto fronts into median/IQR dispersion bands over hypervolume, front
-size, and feasible-evaluation counts.
+to a spawn-safe process pool with `repro.durable.run_tasks` (falling back
+to serial execution when the pool cannot be created or breaks mid-fleet,
+like `CampaignRunner`), and aggregates the per-seed Pareto fronts into
+median/IQR dispersion bands over hypervolume, front size, and
+feasible-evaluation counts.
 
 Durability matches the rest of the repo: with a ``fleet_dir`` every
 member search checkpoints per generation under
@@ -26,18 +26,16 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import durable
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SPACE_NAMES, space_by_name
 from ..utils import atomic_write_text
@@ -262,9 +260,7 @@ class SearchFleet:
             ),
             "warm_start": [c.to_dict() for c in self.warm_configs],
         }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
+        return durable.fingerprint(payload)
 
     def _member_dir(self, seed: int) -> Optional[Path]:
         if self.fleet_dir is None:
@@ -358,7 +354,7 @@ class SearchFleet:
         ):
             # Torn or foreign: quarantine and recompute (the member's own
             # generation checkpoints make the rerun cheap).
-            path.rename(path.with_name("result.json.corrupt"))
+            durable.quarantine(path)
             return None
         return payload
 
@@ -370,60 +366,6 @@ class SearchFleet:
         atomic_write_text(
             member_dir / "result.json", json.dumps(payload, sort_keys=True)
         )
-
-    def _run_serial(
-        self, pending: List[int], payloads: Dict[int, dict]
-    ) -> None:
-        for seed in pending:
-            if seed in payloads:
-                continue
-            payloads[seed] = _run_member(self._task(seed))
-            self._commit_member(seed, payloads[seed])
-
-    def _run_parallel(
-        self,
-        pending: List[int],
-        payloads: Dict[int, dict],
-        manifest: Optional[dict],
-        degradations: List[dict],
-    ) -> None:
-        """Pool execution with the campaign's degrade-don't-abort contract."""
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                mp_context=multiprocessing.get_context(self.mp_context),
-            )
-        except (ImportError, NotImplementedError, OSError, ValueError) as exc:
-            self._record_degradation(
-                manifest,
-                degradations,
-                "pool_unavailable",
-                error=f"{type(exc).__name__}: {exc}",
-                pending=list(pending),
-            )
-            self._run_serial(pending, payloads)
-            return
-        try:
-            with pool:
-                futures = {
-                    pool.submit(_run_member, self._task(seed)): seed
-                    for seed in pending
-                }
-                for future in as_completed(futures):
-                    seed = futures[future]
-                    payloads[seed] = future.result()
-                    self._commit_member(seed, payloads[seed])
-        except BrokenProcessPool as exc:
-            still_pending = [s for s in pending if s not in payloads]
-            self._record_degradation(
-                manifest,
-                degradations,
-                "broken_process_pool",
-                error=f"{type(exc).__name__}: {exc}",
-                completed_before_failure=len(pending) - len(still_pending),
-                pending=still_pending,
-            )
-            self._run_serial(still_pending, payloads)
 
     # -------------------------------- run ------------------------------ #
 
@@ -446,10 +388,19 @@ class SearchFleet:
                 payloads[seed] = cached
         pending = [s for s in self.seeds if s not in payloads]
 
-        if self.workers > 1 and len(pending) > 1:
-            self._run_parallel(pending, payloads, manifest, degradations)
-        else:
-            self._run_serial(pending, payloads)
+        def commit(seed: int, payload: dict) -> None:
+            payloads[seed] = payload
+            self._commit_member(seed, payload)
+
+        durable.run_tasks(
+            pending,
+            lambda seed: (_run_member, self._task(seed)),
+            lambda seed: _run_member(self._task(seed)),
+            commit,
+            partial(self._record_degradation, manifest, degradations),
+            workers=self.workers,
+            mp_context=self.mp_context,
+        )
 
         # Normalise through the JSON round trip so a cached member and a
         # freshly computed one are bit-for-bit the same kind of object.

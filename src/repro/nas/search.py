@@ -37,7 +37,6 @@ Three deployment-grade capabilities ride on that determinism:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +44,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import durable
 from ..archspace.config import ArchConfig
 from ..archspace.ops import crossover, mutate
 from ..archspace.sampling import RandomSampler
@@ -293,10 +293,7 @@ class _SearchBase:
         }
 
     def fingerprint(self) -> str:
-        digest = hashlib.sha256(
-            json.dumps(self._fingerprint_payload(), sort_keys=True).encode()
-        )
-        return digest.hexdigest()
+        return durable.fingerprint(self._fingerprint_payload())
 
     def _checkpoint_store(self) -> Optional[SearchCheckpoint]:
         if self.checkpoint_dir is None:

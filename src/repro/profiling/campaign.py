@@ -28,17 +28,14 @@ sequential run because no sample ever depends on cross-batch state.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import durable
 from ..archspace.config import ArchConfig
 from ..data.dataset import LatencyDataset, LatencySample
 from ..hardware.errors import MeasurementError
@@ -326,10 +323,7 @@ class CampaignRunner:
             "max_transient_retries": self.max_transient_retries,
             "device": self.device_name,
         }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        )
-        return digest.hexdigest()
+        return durable.fingerprint(payload)
 
     # ------------------------------------------------------------------ #
     # Measurement primitives
@@ -428,9 +422,9 @@ class CampaignRunner:
         always reflects every batch completed so far, by this process or a
         previous one.
 
-        With ``workers > 1`` the pending batches are farmed out to a
-        spawn-safe process pool.  Each batch's RNG streams depend only on
-        ``(seed, batch, attempt)``, so the shards a parallel run writes
+        With ``workers > 1`` the pending batches are farmed out to a process
+        pool by `repro.durable.run_tasks`.  Each batch's RNG streams depend on
+        ``(seed, batch, attempt)`` alone, so the shards a parallel run writes
         are byte-identical to a sequential run's — only the completion
         order (and therefore the manifest's commit order) differs, and
         shards commit atomically as they finish, so a killed parallel
@@ -440,12 +434,15 @@ class CampaignRunner:
         manifest = self._load_or_init_manifest()
         pending = self._pending_batches(manifest, max_batches)
 
-        if self.workers > 1 and len(pending) > 1:
-            self._run_parallel(pending, manifest)
-        else:
-            for index in pending:
-                samples, record = self._run_batch(index)
-                self._commit_batch(index, samples, record, manifest)
+        durable.run_tasks(
+            pending,
+            lambda index: (_execute_batch, self._task(index)),
+            self._run_batch,
+            lambda index, result: self._commit_batch(index, *result, manifest),
+            partial(self._record_degradation, manifest),
+            workers=self.workers,
+            mp_context=self.mp_context,
+        )
 
         report = self._report(manifest)
         report.wall_clock_s = time.monotonic() - started
@@ -504,62 +501,6 @@ class CampaignRunner:
         entry = {"kind": kind, **details}
         manifest.setdefault("degradations", []).append(entry)
         self.store.save_manifest(manifest)
-
-    def _run_parallel(self, pending: List[int], manifest: dict) -> None:
-        """Execute ``pending`` batches on a process pool, committing each
-        as it completes.  Falls back to the sequential path — recording the
-        degradation — when no pool can be created on this platform, or when
-        the pool breaks mid-campaign (a worker segfaults, is OOM-killed, or
-        otherwise dies); batches already committed by the pool are never
-        re-measured, only the still-pending ones rerun serially."""
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                mp_context=multiprocessing.get_context(self.mp_context),
-            )
-        except (ImportError, NotImplementedError, OSError, ValueError) as exc:
-            # ValueError: the requested start method does not exist on
-            # this platform (e.g. "fork" on Windows) — run sequentially.
-            self._record_degradation(
-                manifest,
-                "pool_unavailable",
-                error=f"{type(exc).__name__}: {exc}",
-                pending=list(pending),
-            )
-            self._run_serial(pending, manifest)
-            return
-        try:
-            with pool:
-                futures = {
-                    pool.submit(_execute_batch, self._task(index)): index
-                    for index in pending
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    samples, record = future.result()
-                    self._commit_batch(index, samples, record, manifest)
-        except BrokenProcessPool as exc:
-            still_pending = [
-                index
-                for index in pending
-                if str(index) not in manifest["batches"]
-                or not self.store.has_shard(index)
-            ]
-            self._record_degradation(
-                manifest,
-                "broken_process_pool",
-                error=f"{type(exc).__name__}: {exc}",
-                completed_before_failure=len(pending) - len(still_pending),
-                pending=still_pending,
-            )
-            self._run_serial(still_pending, manifest)
-
-    def _run_serial(self, pending: List[int], manifest: dict) -> None:
-        for index in pending:
-            if self.store.has_shard(index) and str(index) in manifest["batches"]:
-                continue
-            samples, record = self._run_batch(index)
-            self._commit_batch(index, samples, record, manifest)
 
     @property
     def complete(self) -> bool:

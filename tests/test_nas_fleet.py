@@ -164,6 +164,24 @@ class TestDurableFleet:
         assert resumed.to_json() == serial_json
         assert (fleet_dir / "member_00003" / "result.json.corrupt").exists()
 
+    def test_repeated_corruption_keeps_every_quarantined_payload(
+        self, harness, serial_json, tmp_path
+    ):
+        """A second corruption of the same member must not overwrite the
+        first one's quarantined evidence."""
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        member = fleet_dir / "member_00003"
+        first = '{"kind": "search_result", "seed": 999}'
+        second = '{"kind": "search_res'
+        (member / "result.json").write_text(first)
+        make_fleet(harness, fleet_dir=fleet_dir).run()
+        (member / "result.json").write_text(second)
+        resumed = make_fleet(harness, fleet_dir=fleet_dir).run()
+        assert resumed.to_json() == serial_json
+        assert (member / "result.json.corrupt").read_text() == first
+        assert (member / "result.json.corrupt1").read_text() == second
+
     def test_foreign_fleet_dir_refused(self, harness, tmp_path):
         fleet_dir = tmp_path / "fleet"
         make_fleet(harness, fleet_dir=fleet_dir).run()
