@@ -1,10 +1,14 @@
-"""End-to-end campaign wall clock: cached vs the pre-caching hot path.
+"""End-to-end campaign wall clock: analytical cache on vs off.
 
 A campaign re-resolves the same analytical latencies constantly — the QC
 references are re-measured on every batch attempt and every sample stores
 its ground truth — so the analytical cache is worth a large factor on the
 whole pipeline, not just on microbenchmarks.  The baseline runs the same
-200-config campaign with the cache disabled (the seed code path).
+200-config campaign with the cache disabled, so every latency query lowers
+the config and sweeps the roofline again.  It is not the pre-caching code
+path: lowering goes through the layer memo in `repro.network.builders`
+either way, so the baseline, and with it the ratio, is smaller than when
+the cache landed.
 
 The parallel path (``workers > 1``) is timed too, with the host's CPU
 count recorded next to the number: batches only overlap when there are

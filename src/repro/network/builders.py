@@ -11,10 +11,17 @@ falls straight out of the arithmetic:
   the kernel only enters the cheap depthwise conv — a weak interaction.
 * DenseNet-BC: one kernel per unit and channel counts that grow across a
   unit, so per-block cost depends on cross-block context.
+
+Layer records are memoized: each constructor (`_conv`, `_pool`, ...) is a
+pure function of a name and a few ints, so equal calls return one shared
+`Layer`.  That is safe because `Layer` is frozen and `Network` holds a
+tuple; lowering the ~160-layer densenet configs of a campaign then costs
+a cache lookup per layer instead of a dataclass construction.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from ..archspace.config import ArchConfig
@@ -24,7 +31,13 @@ __all__ = ["build_network", "BUILDER_FAMILIES"]
 
 _BYTES = 4  # fp32
 
+# One cache per constructor.  50,000 random densenet configs (the widest
+# space) lower to ~10.6k distinct conv and ~9.6k distinct concat calls, so
+# the bound caps memory without evicting in practice.
+_memo = lru_cache(maxsize=16384)
 
+
+@_memo
 def _conv(
     name: str,
     cin: int,
@@ -50,6 +63,7 @@ def _conv(
     )
 
 
+@_memo
 def _pool(name: str, channels: int, spatial_in: int, stride: int = 2) -> Layer:
     spatial_out = max(1, spatial_in // stride)
     out_elems = channels * spatial_out * spatial_out
@@ -65,6 +79,7 @@ def _pool(name: str, channels: int, spatial_in: int, stride: int = 2) -> Layer:
     )
 
 
+@_memo
 def _eltwise(name: str, channels: int, spatial: int) -> Layer:
     elems = channels * spatial * spatial
     return Layer(
@@ -79,6 +94,7 @@ def _eltwise(name: str, channels: int, spatial: int) -> Layer:
     )
 
 
+@_memo
 def _concat(name: str, cin_a: int, cin_b: int, spatial: int) -> Layer:
     elems = (cin_a + cin_b) * spatial * spatial
     return Layer(
@@ -93,6 +109,7 @@ def _concat(name: str, cin_a: int, cin_b: int, spatial: int) -> Layer:
     )
 
 
+@_memo
 def _linear(name: str, cin: int, cout: int) -> Layer:
     params = float(cin * cout)
     return Layer(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -292,6 +292,8 @@ class CampaignRunner:
                 "device has no .profile.name; pass device_name= explicitly"
             )
         self.device_name = device_name
+        # Samples of the batches the current run() committed, by index.
+        self._committed: Dict[int, List[LatencySample]] = {}
 
     # ------------------------------------------------------------------ #
     # Identity
@@ -433,6 +435,7 @@ class CampaignRunner:
         started = time.monotonic()
         manifest = self._load_or_init_manifest()
         pending = self._pending_batches(manifest, max_batches)
+        self._committed = {}
 
         durable.run_tasks(
             pending,
@@ -447,11 +450,7 @@ class CampaignRunner:
         report = self._report(manifest)
         report.wall_clock_s = time.monotonic() - started
         report.save(self.store.report_path)
-        dataset = LatencyDataset()
-        for index in range(self.n_batches):
-            if self.store.has_shard(index):
-                dataset.extend(self.store.read_shard(index).samples)
-        return CampaignResult(dataset=dataset, report=report)
+        return CampaignResult(dataset=self._assemble(), report=report)
 
     def _pending_batches(
         self, manifest: dict, max_batches: Optional[int] = None
@@ -481,14 +480,32 @@ class CampaignRunner:
 
         The manifest's batch map is re-sorted by index on every commit so
         its on-disk ordering is deterministic regardless of the order a
-        parallel run's batches happen to complete in.
+        parallel run's batches happen to complete in.  The samples are
+        also kept in memory for `_assemble`, which then need not read
+        back a shard this run has just written.
         """
         record.shard = self.store.write_shard(index, LatencyDataset(samples))
+        self._committed[index] = samples
         manifest["batches"][str(index)] = record.to_dict()
         manifest["batches"] = dict(
             sorted(manifest["batches"].items(), key=lambda kv: int(kv[0]))
         )
         self.store.save_manifest(manifest)
+
+    def _assemble(self) -> LatencyDataset:
+        """Every completed batch's samples, in batch order.
+
+        Batches committed by this run come from memory; only shards left
+        by an earlier process (a resume) are read back from disk.  A
+        shard round-trips losslessly, so both sources give equal samples.
+        """
+        dataset = LatencyDataset()
+        for index in range(self.n_batches):
+            if index in self._committed:
+                dataset.extend(self._committed[index])
+            elif self.store.has_shard(index):
+                dataset.extend(self.store.read_shard(index).samples)
+        return dataset
 
     def _record_degradation(self, manifest: dict, kind: str, **details) -> None:
         """Durably note that the campaign survived an executor failure.

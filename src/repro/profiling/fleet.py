@@ -51,7 +51,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..data.dataset import LatencyDataset
 from .campaign import CampaignError, CampaignResult, CampaignRunner, _execute_batch
 from .clock import VirtualClock
 from .report import FleetHealth, SessionHealth
@@ -265,6 +264,7 @@ class FleetRunner(CampaignRunner):
         started = time.monotonic()
         manifest = self._load_or_init_manifest()
         pending = self._pending_batches(manifest, max_batches)
+        self._committed = {}
 
         self._sessions: List[DeviceSession] = [
             self._open_session(i) for i in range(self.sessions)
@@ -295,13 +295,7 @@ class FleetRunner(CampaignRunner):
             error.health = self.health
             raise error
 
-        dataset_samples = []
-        for index in range(self.n_batches):
-            if self.store.has_shard(index):
-                dataset_samples.extend(self.store.read_shard(index).samples)
-        return CampaignResult(
-            dataset=LatencyDataset(dataset_samples), report=report
-        )
+        return CampaignResult(dataset=self._assemble(), report=report)
 
     async def _dispatch(self, pending: Sequence[int]) -> None:
         self._remaining: Set[int] = set(pending)

@@ -16,6 +16,12 @@ its batch's shard is durably in place.  A campaign killed at any point
 therefore leaves a directory from which `CampaignRunner` resumes without
 re-measuring a single completed batch, and without ever reading a
 half-written file.
+
+The manifest is compact JSON.  It is rewritten whole after every batch,
+and ``json.dumps`` with ``indent`` falls back to CPython's pure-Python
+encoder, which made those rewrites a visible share of a campaign's CPU.
+Its readers only ``json.loads`` it, and it carries wall-clock timings, so
+its bytes were never a reproducibility contract; shards and reports are.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class CampaignStore:
         return manifest
 
     def save_manifest(self, manifest: dict) -> None:
-        atomic_write_text(self.manifest_path, json.dumps(manifest, indent=2))
+        atomic_write_text(self.manifest_path, json.dumps(manifest))
 
     # ------------------------------ shards ----------------------------- #
 

@@ -1,5 +1,7 @@
-"""Shared fixtures: Table I specs and a small measured ResNet dataset."""
+"""Shared fixtures: Table I specs, a small measured ResNet dataset, and
+the shard-read probes of the campaign and fleet tests."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro import (
     mobilenetv3_space,
     resnet_space,
 )
+from repro.profiling import CampaignStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,3 +66,35 @@ def small_resnet_dataset(resnet_spec):
             for c, m, t in zip(configs, measured, true)
         ]
     )
+
+
+@pytest.fixture
+def shard_reads(monkeypatch):
+    """The batch indices `CampaignStore.read_shard` is asked for."""
+    indices = []
+    read_shard = CampaignStore.read_shard
+
+    def counting(store, index):
+        indices.append(index)
+        return read_shard(store, index)
+
+    monkeypatch.setattr(CampaignStore, "read_shard", counting)
+    return indices
+
+
+@pytest.fixture(scope="session")
+def assert_matches_shards():
+    """Check that a campaign result is, sample for sample and byte for
+    byte, the dataset `LatencyDataset.load` rebuilds from its shards."""
+
+    def check(result, runner):
+        on_disk = LatencyDataset()
+        for index in range(runner.n_batches):
+            if runner.store.has_shard(index):
+                on_disk.extend(LatencyDataset.load(runner.store.shard_path(index)))
+        assert result.dataset == on_disk
+        assert json.dumps(result.dataset.to_dict()) == json.dumps(
+            on_disk.to_dict()
+        )
+
+    return check

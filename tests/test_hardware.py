@@ -10,6 +10,7 @@ from repro import (
     build_network,
     device_by_name,
     resnet_space,
+    space_by_name,
 )
 
 
@@ -57,6 +58,42 @@ class TestTrueLatency:
         assert latency["rtx4090"] < latency["rtx3080maxq"]
         assert latency["rtx3080maxq"] < latency["threadripper5975wx"]
         assert latency["threadripper5975wx"] < latency["raspberrypi4"]
+
+
+# `true_latency` of three seeded configs (RandomSampler, rng=2024) per
+# family and device, as `float.hex`, computed before network lowering was
+# memoized: a shared layer record must not move a single bit.
+PINNED_TRUE_LATENCY = {
+    ("resnet", "rtx4090"): (
+        "0x1.fb2f3e2d2fafbp-12", "0x1.9853bececfe2dp-11", "0x1.95b2978cdf369p-11",
+    ),
+    ("resnet", "raspberrypi4"): (
+        "0x1.59d38688b9a85p-1", "0x1.3009e81a399b0p+0", "0x1.4ffb47e3fa7d3p+0",
+    ),
+    ("mobilenetv3", "rtx4090"): (
+        "0x1.63b28f6e253a6p-12", "0x1.095870373198cp-11", "0x1.3b6ab8d49e799p-11",
+    ),
+    ("mobilenetv3", "raspberrypi4"): (
+        "0x1.15bb308796958p-5", "0x1.9552113af038bp-5", "0x1.019a0f21b9591p-4",
+    ),
+    ("densenet", "rtx4090"): (
+        "0x1.54c381dd85919p-11", "0x1.f46884374bc69p-12", "0x1.1c3c49b864813p-10",
+    ),
+    ("densenet", "raspberrypi4"): (
+        "0x1.806a08de8b5f8p-1", "0x1.988216c9f9a7ap-3", "0x1.2554a27825b56p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, device", sorted(PINNED_TRUE_LATENCY))
+def test_true_latency_is_pinned(family, device):
+    configs = RandomSampler(space_by_name(family), rng=2024).sample_batch(3)
+    # Twice, on fresh devices (so fresh latency caches): the first
+    # lowering may fill the layer memo, the second reads from it.
+    for _ in range(2):
+        simulated = SimulatedDevice(device)
+        got = tuple(simulated.true_latency(c).hex() for c in configs)
+        assert got == PINNED_TRUE_LATENCY[family, device]
 
 
 class TestMeasurement:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.network import builders
+
 from repro import (
     ArchConfig,
     BlockConfig,
@@ -76,3 +78,32 @@ def test_unknown_family_raises():
     config = ArchConfig(family="vgg", units=((BlockConfig(3),),))
     with pytest.raises(KeyError):
         build_network(config)
+
+
+_CONSTRUCTORS = ("_conv", "_pool", "_eltwise", "_concat", "_linear")
+
+
+@pytest.mark.parametrize("family", SPACE_NAMES)
+def test_memoized_lowering_equals_unwrapped_constructors(family, monkeypatch):
+    configs = RandomSampler(space_by_name(family), rng=11).sample_batch(12)
+    memoized = [build_network(config) for config in configs]
+    for name in _CONSTRUCTORS:
+        monkeypatch.setattr(builders, name, getattr(builders, name).__wrapped__)
+    fresh = [build_network(config) for config in configs]
+    monkeypatch.undo()
+    assert fresh == memoized
+    # The unwrapped constructors allocate a record per call...
+    assert all(
+        a is not b
+        for f, m in zip(fresh, memoized)
+        for a, b in zip(f.layers, m.layers)
+    )
+    # ...while the memo hands out one shared record per distinct layer,
+    # within a build, across configs and across repeated builds.
+    again = [build_network(config) for config in configs]
+    layers = [layer for net in memoized + again for layer in net.layers]
+    identities = {}
+    for layer in layers:
+        identities.setdefault(layer, set()).add(id(layer))
+    assert all(len(ids) == 1 for ids in identities.values())
+    assert len(identities) < len(layers) // 2

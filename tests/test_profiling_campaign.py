@@ -5,6 +5,7 @@ tiny session noise) so that every QC verdict is attributable to the
 injected faults, not the simulator's own background noise model.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -299,8 +300,7 @@ class TestFaultyCampaign:
         # Kept, never dropped — but every sample carries the flag.
         assert len(result.dataset) == 6 + 2 * 2
         assert all(not s.qc_passed for s in result.dataset)
-        # The flag survives the shard round trip by construction (the
-        # dataset above was read back from the shards).
+        # The flag survives the shard round trip.
         reloaded = LatencyDataset.load(Path(tmp_path) / "shards" / "batch-0000.json")
         assert all(not s.qc_passed for s in reloaded)
 
@@ -598,3 +598,94 @@ class TestBrokenPoolRecovery:
         # Degradations survive the JSON round trip and a later resume.
         reloaded = CampaignReport.load(runner.store.report_path)
         assert reloaded.degradations == result.report.degradations
+
+
+class TestInMemoryAssembly:
+    """A run keeps the samples it commits; it reads back only the shards
+    an earlier process left behind, and the result is the same either way."""
+
+    faulty = TestFaultyCampaign.run_faulty
+
+    def test_serial_run_reads_no_shard(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        runner = self.faulty(tmp_path, sweep_configs, spec)
+        result = runner.run()
+        assert result.report.total_qc_retries >= 1
+        assert shard_reads == []
+        assert len(result.dataset) == 28
+        assert_matches_shards(result, runner)
+
+    def test_flagged_batches_match_their_shards(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        clean = SimulatedDevice(QUIET, seed=0)
+        refs = ReferenceSet.from_space(spec, k=2, rng=7)
+        refs.enroll(lambda c: clean.measure_latency(c, protocol=PROTOCOL, rng=0))
+        device = FaultyDevice(
+            SimulatedDevice(QUIET, seed=0),
+            FaultPlan(throttle_prob=1.0, throttle_factor=1.3),
+            seed=0,
+        )
+        runner = make_runner(
+            device, tmp_path, sweep_configs[:6], spec,
+            references=refs, batch_size=3, max_qc_retries=1,
+        )
+        result = runner.run()
+        assert all(not s.qc_passed for s in result.dataset)
+        assert shard_reads == []
+        assert_matches_shards(result, runner)
+
+    def test_parallel_run_reads_no_shard(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        serial = self.faulty(tmp_path / "seq", sweep_configs, spec).run()
+        runner = self.faulty(
+            tmp_path / "par",
+            sweep_configs,
+            spec,
+            workers=2,
+            mp_context=TestParallelCampaign._context(),
+        )
+        result = runner.run()
+        assert not result.report.degradations
+        assert shard_reads == []
+        assert_matches_shards(result, runner)
+        assert result.dataset == serial.dataset
+
+    def test_resume_reads_only_inherited_shards(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        full = self.faulty(tmp_path / "full", sweep_configs, spec).run()
+
+        first = self.faulty(tmp_path / "twin", sweep_configs, spec)
+        partial = first.run(max_batches=2)
+        assert shard_reads == []
+        assert len(partial.dataset) == 14
+        assert_matches_shards(partial, first)
+
+        # Fresh runners stand in for fresh processes: each inherits what
+        # the one before it committed and runs one more batch, then the rest.
+        second = self.faulty(tmp_path / "twin", sweep_configs, spec, device_seed=5)
+        mixed = second.run(max_batches=1)
+        assert shard_reads == [0, 1]
+        assert [b.resumed for b in mixed.report.batches] == [True, True, False]
+        assert_matches_shards(mixed, second)
+
+        del shard_reads[:]
+        last = self.faulty(tmp_path / "twin", sweep_configs, spec, device_seed=9)
+        resumed = last.run()
+        assert shard_reads == [0, 1, 2]
+        assert_matches_shards(resumed, last)
+        assert json.dumps(resumed.dataset.to_dict()) == json.dumps(
+            full.dataset.to_dict()
+        )
+
+    def test_completed_campaign_rerun_reads_every_shard(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        self.faulty(tmp_path, sweep_configs, spec).run()
+        runner = self.faulty(tmp_path, sweep_configs, spec)
+        result = runner.run()
+        assert shard_reads == [0, 1, 2, 3]
+        assert_matches_shards(result, runner)

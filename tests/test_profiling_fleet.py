@@ -457,6 +457,35 @@ class TestFleetResume:
         assert all(b.resumed for b in result.report.batches)
 
 
+class TestFleetAssembly:
+    """The fleet assembles its result through the campaign's helper: the
+    batches it commits come from memory, inherited ones from disk."""
+
+    def test_fleet_run_reads_no_shard(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        fleet = make_fleet(tmp_path / "fleet", sweep_configs, spec)
+        result = fleet.run()
+        assert fleet.health.redispatches >= 1
+        assert shard_reads == []
+        assert len(result.dataset) == 12 * 7
+        assert_matches_shards(result, fleet)
+        serial = make_runner(CampaignRunner, tmp_path / "ref", sweep_configs, spec)
+        assert result.dataset == serial.run().dataset
+
+    def test_fleet_resume_reads_only_inherited_shards(
+        self, sweep_configs, spec, tmp_path, shard_reads, assert_matches_shards
+    ):
+        make_runner(CampaignRunner, tmp_path, sweep_configs, spec).run(
+            max_batches=3
+        )
+        assert shard_reads == []
+        fleet = make_fleet(tmp_path, sweep_configs, spec)
+        result = fleet.run()
+        assert shard_reads == [0, 1, 2]
+        assert_matches_shards(result, fleet)
+
+
 class TestFleetGuards:
     @pytest.mark.parametrize(
         "kwargs",
