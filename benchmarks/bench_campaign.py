@@ -15,6 +15,11 @@ count recorded next to the number: batches only overlap when there are
 spare cores, so on a single-core runner the entry documents overhead, not
 speedup.  Its dataset is compared against the sequential run's — the
 latencies must match exactly regardless of worker count.
+
+Each of the three campaigns runs ``REPEATS`` times, each time in a fresh
+temporary directory so no run resumes from another, and the record keeps
+the median wall clock: one run of a sub-second campaign swings by tens
+of percent on a shared host.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -32,6 +38,7 @@ FAMILY = "densenet"
 DEVICE = "raspberrypi4"
 CAMPAIGN_SEED = 5
 PARALLEL_WORKERS = 4
+REPEATS = 3
 
 
 def _run_campaign(configs, spec, *, batch_size, runs, cache_size, workers=1):
@@ -69,17 +76,26 @@ def _run_campaign(configs, spec, *, batch_size, runs, cache_size, workers=1):
     return wall, result, device.cache_info()
 
 
+def _median_campaign(configs, spec, **kwargs):
+    """``_run_campaign`` ``REPEATS`` times: median wall, last result and info."""
+    walls = []
+    for _ in range(REPEATS):
+        wall, result, info = _run_campaign(configs, spec, **kwargs)
+        walls.append(wall)
+    return statistics.median(walls), result, info
+
+
 def run(smoke: bool = False, out_dir=None):
     n, batch_size, runs = (30, 5, 25) if smoke else (200, 10, 150)
     configs, spec = sample_configs(FAMILY, n, seed=7)
 
-    baseline_s, _, _ = _run_campaign(
+    baseline_s, _, _ = _median_campaign(
         configs, spec, batch_size=batch_size, runs=runs, cache_size=0
     )
-    wall_s, sequential, info = _run_campaign(
+    wall_s, sequential, info = _median_campaign(
         configs, spec, batch_size=batch_size, runs=runs, cache_size=4096
     )
-    parallel_s, parallel, _ = _run_campaign(
+    parallel_s, parallel, _ = _median_campaign(
         configs,
         spec,
         batch_size=batch_size,
@@ -112,6 +128,7 @@ def run(smoke: bool = False, out_dir=None):
         parallel_workers=PARALLEL_WORKERS,
         parallel_matches_sequential=bool(matches),
         cpu_count=os.cpu_count(),
+        repeats=REPEATS,
     )
 
 

@@ -9,6 +9,7 @@ Every benchmark writes one JSON record with a fixed schema::
       "per_item_us":    wall_s spread over the workload items,
       "cache_hit_rate": analytical-cache hit rate (null where no cache),
       "git_rev":        short commit hash the numbers were taken at,
+                        suffixed ``-dirty`` on an uncommitted tree,
       ...               benchmark-specific extras (baseline_wall_s,
                         speedup, equivalence flags, ...)
     }
@@ -29,19 +30,32 @@ BENCH_ROOT = Path(__file__).resolve().parent
 RESULTS_DIR = BENCH_ROOT / "results"
 
 
-def git_rev() -> str:
-    """Short hash of the checked-out commit, or ``unknown`` outside git."""
+def _git(*args: str) -> Optional[str]:
+    """Stripped stdout of one git command in this checkout, None on failure."""
     try:
         out = subprocess.run(
-            ["git", "-C", str(BENCH_ROOT), "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(BENCH_ROOT), *args],
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_rev() -> str:
+    """Short hash of the checked-out commit, or ``unknown`` outside git.
+
+    A tree with uncommitted changes to tracked files gets a ``-dirty``
+    suffix: its numbers were not taken at that commit.
+    """
+    rev = _git("rev-parse", "--short", "HEAD")
+    if not rev:
         return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        rev += "-dirty"
+    return rev
 
 
 def sample_configs(family: str, n: int, seed: int) -> Tuple[list, object]:

@@ -78,14 +78,14 @@ class ArchConfig:
         """Canonical hashable identity of this architecture.
 
         A flat tuple of primitives — cheaper to hash and compare than the
-        nested dataclass itself — used to key per-config memoization (the
-        simulator's analytical-latency cache).  Two configs have equal
-        cache keys iff they lower to the same network.
+        nested dataclass itself — used to key per-config memoization.  Two
+        configs have equal cache keys iff they lower to the same network.
 
         Memoized per instance (configs are immutable): callers on hot
-        paths — the analytical cache, the serving LRU and micro-batch
-        dedupe — may call this once per request without rebuilding the
-        nested tuples each time.
+        paths — the simulator's analytical-latency `LRUCache`, the
+        server's per-key prediction `LRUCache` and micro-batch dedupe —
+        may call this once per request without rebuilding the nested
+        tuples each time.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:

@@ -1,7 +1,6 @@
 """Simulated measurement devices: profiles, roofline engine, noise model,
 measurement exceptions, and seeded fault injection."""
 
-from .cache import AnalyticalCache, CacheInfo
 from .errors import MeasurementError, MeasurementTimeout
 from .profiles import DEVICE_NAMES, DEVICES, DeviceProfile, device_by_name
 from .roofline import compute_efficiency, layer_time
@@ -9,8 +8,6 @@ from .simulator import SimulatedDevice
 from .faults import FaultPlan, FaultyDevice
 
 __all__ = [
-    "AnalyticalCache",
-    "CacheInfo",
     "DeviceProfile",
     "DEVICES",
     "DEVICE_NAMES",

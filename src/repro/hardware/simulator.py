@@ -15,10 +15,12 @@ paper's: discard the fastest and slowest 20% of runs, average the middle
 
 Two structural properties make the measurement hot path cheap:
 
-* The analytical latency of an `ArchConfig` is memoized in a bounded LRU
-  (`AnalyticalCache`, keyed by `ArchConfig.cache_key()`), so the 150 noisy
-  runs of one config — and the reference models re-measured every campaign
-  batch — pay for the IR lowering and roofline sweep exactly once.
+* The analytical latency of an `ArchConfig` is memoized in a bounded
+  `LRUCache` keyed by `ArchConfig.cache_key()`, so the 150 noisy runs of
+  one config — and the reference models re-measured every campaign batch
+  — pay for the IR lowering and roofline sweep exactly once.  The device
+  profile is read-only, so a cached latency can never belong to another
+  device.
 * The noise model is generated block-wise: `_trace_block` draws each
   config's randomness in the canonical order (session, throttle, jitter,
   outlier positions, outlier heights) and then applies the deterministic
@@ -40,7 +42,7 @@ from ..network.builders import build_network
 from ..network.ir import Network
 from ..profiling.protocol import MeasurementProtocol
 from ..utils import ensure_rng
-from .cache import AnalyticalCache, CacheInfo
+from ..utils.lru import CacheInfo, LRUCache
 from .profiles import DeviceProfile, device_by_name
 from .roofline import layer_time
 
@@ -58,17 +60,18 @@ class SimulatedDevice:
     ):
         if isinstance(profile, str):
             profile = device_by_name(profile)
-        self.profile = profile
+        self._profile = profile
         self.rng = ensure_rng(seed)
-        self.analytical_cache = AnalyticalCache(cache_size)
-        self._cache_profile = profile
+        self.analytical_cache = LRUCache(cache_size)
+
+    @property
+    def profile(self) -> DeviceProfile:
+        """The device being simulated; fixed for the device's lifetime."""
+        return self._profile
 
     # ------------------------------------------------------------------ #
     # Deterministic analytical latency
     # ------------------------------------------------------------------ #
-
-    def _as_network(self, target: Union[ArchConfig, Network]) -> Network:
-        return target if isinstance(target, Network) else build_network(target)
 
     def _cache_pressure(self, net: Network) -> float:
         """Slowdown multiplier for memory-bound layers (global term)."""
@@ -100,11 +103,6 @@ class SimulatedDevice:
         """
         if not isinstance(target, ArchConfig):
             return self._analytical_latency(target)
-        if self.profile != self._cache_profile:
-            # The profile was swapped out underneath us: every cached
-            # latency belongs to the old device, so drop them all.
-            self.analytical_cache.clear()
-            self._cache_profile = self.profile
         key = target.cache_key()
         value = self.analytical_cache.get(key)
         if value is None:

@@ -5,7 +5,7 @@ without re-measuring anything, and the async device-fleet dispatcher
 (deadlines, circuit breakers, quorum degradation) layered on top."""
 
 from .campaign import CampaignError, CampaignResult, CampaignRunner
-from .clock import AsyncSystemClock, Clock, FakeClock, SystemClock, VirtualClock
+from .clock import VirtualClock
 from .fleet import CircuitBreaker, DeviceSession, FleetRunner
 from .paired import PairedMeasurementSet, measure_paired
 from .protocol import MeasurementProtocol
@@ -36,10 +36,6 @@ __all__ = [
     "CircuitBreaker",
     "FleetHealth",
     "SessionHealth",
-    "Clock",
-    "SystemClock",
-    "FakeClock",
-    "AsyncSystemClock",
     "VirtualClock",
     "PairedMeasurementSet",
     "measure_paired",

@@ -39,7 +39,6 @@ from .. import durable
 from ..archspace.config import ArchConfig
 from ..data.dataset import LatencyDataset, LatencySample
 from ..hardware.errors import MeasurementError
-from .clock import Clock, SystemClock
 from .protocol import MeasurementProtocol
 from .reference import ReferenceSet
 from .report import AttemptRecord, BatchRecord, CampaignReport
@@ -243,7 +242,6 @@ class CampaignRunner:
         backoff_factor: float = 2.0,
         backoff_jitter: float = 0.1,
         sleep: Optional[Callable[[float], None]] = None,
-        clock: Optional[Clock] = None,
         device_name: Optional[str] = None,
         workers: int = 1,
         mp_context: Optional[str] = None,
@@ -271,12 +269,9 @@ class CampaignRunner:
         self.backoff_s = float(backoff_s)
         self.backoff_factor = float(backoff_factor)
         self.backoff_jitter = float(backoff_jitter)
-        # Backoff sleeps go through an injectable clock so tests (and the
-        # fleet's virtual-time dispatcher) never block on real time.  An
-        # explicit ``sleep=`` callable still wins, for callers that predate
-        # the clock.
-        self.clock: Clock = SystemClock() if clock is None else clock
-        self.sleep = self.clock.sleep if sleep is None else sleep
+        # Backoff sleeps are injectable so tests and simulated campaigns
+        # never block on real time.
+        self.sleep = time.sleep if sleep is None else sleep
         self.workers = int(workers)
         # Pool start method: "spawn" is the portable, always-safe default;
         # "fork" starts workers in milliseconds on POSIX (they inherit the

@@ -1,23 +1,13 @@
-"""Injectable clocks: real time for production, virtual time for tests.
+"""Deterministic discrete-event time for the fleet dispatcher.
 
-Two families live here:
-
-* The synchronous `Clock` protocol (``monotonic()`` + ``sleep()``) used by
-  `CampaignRunner` for QC-retry backoff.  `SystemClock` is the production
-  implementation; `FakeClock` advances a virtual now() instead of
-  sleeping and records every requested sleep, so retry/backoff tests run
-  in microseconds and can assert the exact schedule.
-
-* The asynchronous clocks used by the fleet dispatcher
-  (`repro.profiling.fleet`).  `AsyncSystemClock` delegates to
-  ``asyncio.sleep``.  `VirtualClock` is a deterministic discrete-event
-  clock: coroutines register as *participants*, and whenever every
-  participant is parked in ``sleep()`` the clock wakes exactly one — the
-  earliest ``(wake_time, arrival_order)`` — and advances virtual time to
-  it.  Scheduling therefore depends only on the durations the dispatcher
-  computes (which are seeded), never on host load, so an entire fleet
-  campaign with stragglers, deadlines, and circuit-breaker cooldowns
-  replays identically on every machine.
+`VirtualClock` is the clock of `repro.profiling.fleet`: coroutines
+register as *participants*, and whenever every participant is parked in
+``sleep()`` the clock wakes exactly one — the earliest ``(wake_time,
+arrival_order)`` — and advances virtual time to it.  Scheduling
+therefore depends only on the durations the dispatcher computes (which
+are seeded), never on host load, so an entire fleet campaign with
+stragglers, deadlines, and circuit-breaker cooldowns replays identically
+on every machine.
 """
 
 from __future__ import annotations
@@ -25,72 +15,9 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-import time
-from typing import List, Protocol, Tuple, runtime_checkable
+from typing import List, Tuple
 
-__all__ = [
-    "AsyncSystemClock",
-    "Clock",
-    "FakeClock",
-    "SystemClock",
-    "VirtualClock",
-]
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """What the synchronous retry machinery needs from a clock."""
-
-    def monotonic(self) -> float: ...  # pragma: no cover - protocol
-
-    def sleep(self, seconds: float) -> None: ...  # pragma: no cover
-
-
-class SystemClock:
-    """The real wall clock."""
-
-    @staticmethod
-    def monotonic() -> float:
-        return time.monotonic()
-
-    @staticmethod
-    def sleep(seconds: float) -> None:
-        time.sleep(seconds)
-
-
-class FakeClock:
-    """A virtual synchronous clock: sleeps advance time instead of passing it."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-        self.sleeps: List[float] = []  # every duration requested, in order
-
-    def monotonic(self) -> float:
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(float(seconds))
-        self._now += max(0.0, float(seconds))
-
-
-class AsyncSystemClock:
-    """Real time for a fleet dispatched against actual hardware."""
-
-    @staticmethod
-    def now() -> float:
-        return time.monotonic()
-
-    @staticmethod
-    async def sleep(seconds: float) -> None:
-        await asyncio.sleep(max(0.0, seconds))
-
-    # Participant bookkeeping is a virtual-clock concept; real time flows
-    # whether or not anyone is watching.
-    def add_participant(self) -> None:
-        pass
-
-    def remove_participant(self) -> None:
-        pass
+__all__ = ["VirtualClock"]
 
 
 class VirtualClock:

@@ -17,10 +17,10 @@ On top of that fault model sits the machinery real fleets need:
   it up later and produces the *same bytes* it would have produced
   anywhere, because batch content depends only on ``(seed, batch,
   attempt)``.
-* **Per-session circuit breakers** — ``breaker_threshold`` consecutive
+* **Per-session circuit breakers** — ``BREAKER_THRESHOLD`` consecutive
   failures open a session's breaker; after ``breaker_cooldown_s`` it goes
   half-open and admits one probe dispatch; a session whose breaker opens
-  ``breaker_max_openings`` times is permanently retired.
+  ``BREAKER_MAX_OPENINGS`` times is permanently retired.
 * **Quorum degradation** — the campaign never aborts while at least one
   session survives.  If survivors drop below the quorum
   (``ceil(quorum_fraction * sessions)``), batches completed from then on
@@ -33,9 +33,9 @@ Determinism is inherited, not re-proven: `FleetRunner` subclasses
 `CampaignRunner`, shares its fingerprint/manifest/shard layout (so a
 killed fleet campaign can be resumed by a serial runner and vice versa),
 and executes batches with the very same `_execute_batch`.  Scheduling
-runs on a `VirtualClock` by default — a deterministic discrete-event
-clock — so the health ledger, the dispatch order, and the simulated
-makespan are reproducible too, not just the shard bytes.
+runs on a `VirtualClock` — a deterministic discrete-event clock — so the
+health ledger, the dispatch order, and the simulated makespan are
+reproducible too, not just the shard bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ __all__ = ["CircuitBreaker", "DeviceSession", "FleetRunner"]
 
 _SESSION_SLOT = 0x5E55  # namespace for per-session straggler streams
 _REDISPATCH_SLOT = 0x12ED  # namespace for re-dispatch backoff jitter streams
+
+BREAKER_THRESHOLD = 2  # consecutive failures that open a session's breaker
+BREAKER_MAX_OPENINGS = 2  # openings after which a session is retired
+# A batch that timed out on its (n + 1)-th dispatch waits, jittered,
+# REDISPATCH_BACKOFF_S * REDISPATCH_BACKOFF_FACTOR**n simulated seconds.
+REDISPATCH_BACKOFF_S = 1.0
+REDISPATCH_BACKOFF_FACTOR = 2.0
 
 # Circuit-breaker states.
 CLOSED = "closed"
@@ -152,9 +159,8 @@ class FleetRunner(CampaignRunner):
     documented in the module docstring.  ``nominal_batch_s`` is the
     simulated healthy-session wall-clock of one batch; ``contention``
     adds ``contention * (concurrent dispatches - 1)`` of relative
-    slowdown, modelling shared-host interference.  The default clock is a
-    `VirtualClock`, which makes the whole schedule deterministic and
-    free; pass `AsyncSystemClock` to pace a fleet in real time.
+    slowdown, modelling shared-host interference.  The schedule runs on
+    a `VirtualClock`, which makes it deterministic and free.
     """
 
     def __init__(
@@ -168,13 +174,8 @@ class FleetRunner(CampaignRunner):
         deadline_s: float = 30.0,
         nominal_batch_s: float = 1.0,
         contention: float = 0.0,
-        breaker_threshold: int = 2,
         breaker_cooldown_s: float = 60.0,
-        breaker_max_openings: int = 2,
-        redispatch_backoff_s: float = 1.0,
-        redispatch_backoff_factor: float = 2.0,
         quorum_fraction: float = 0.5,
-        fleet_clock=None,
         **kwargs,
     ):
         super().__init__(device, configs, campaign_dir, references, **kwargs)
@@ -190,14 +191,10 @@ class FleetRunner(CampaignRunner):
         self.deadline_s = float(deadline_s)
         self.nominal_batch_s = float(nominal_batch_s)
         self.contention = float(contention)
-        self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.breaker_max_openings = int(breaker_max_openings)
-        self.redispatch_backoff_s = float(redispatch_backoff_s)
-        self.redispatch_backoff_factor = float(redispatch_backoff_factor)
         self.quorum_fraction = float(quorum_fraction)
         self.quorum = max(1, math.ceil(self.quorum_fraction * self.sessions))
-        self.fleet_clock = VirtualClock() if fleet_clock is None else fleet_clock
+        self._clock = VirtualClock()
         # Idle sessions poll for re-queued work at this (virtual) cadence.
         self._poll_s = min(1.0, self.deadline_s / 10.0)
         self.health: Optional[FleetHealth] = None  # ledger of the last run()
@@ -224,20 +221,20 @@ class FleetRunner(CampaignRunner):
             device=device,
             straggler_factor=factor,
             breaker=CircuitBreaker(
-                threshold=self.breaker_threshold,
+                threshold=BREAKER_THRESHOLD,
                 cooldown_s=self.breaker_cooldown_s,
-                max_openings=self.breaker_max_openings,
+                max_openings=BREAKER_MAX_OPENINGS,
             ),
         )
 
     def _surviving(self) -> int:
-        now = self.fleet_clock.now()
+        now = self._clock.now()
         return sum(
             1 for s in self._sessions if s.breaker.state(now) != RETIRED
         )
 
     def _ledger(self) -> FleetHealth:
-        now = self.fleet_clock.now()
+        now = self._clock.now()
         return FleetHealth(
             n_sessions=self.sessions,
             quorum=self.quorum,
@@ -272,7 +269,7 @@ class FleetRunner(CampaignRunner):
         self._redispatches = 0
         self._degraded_batches: Set[int] = set()
         self._busy = 0
-        self._t0 = self.fleet_clock.now()
+        self._t0 = self._clock.now()
         self._manifest = manifest
         self._remaining_after_dispatch: Set[int] = set()
 
@@ -301,7 +298,7 @@ class FleetRunner(CampaignRunner):
         self._remaining: Set[int] = set(pending)
         self._queue: List[Tuple[float, int, int, int]] = []
         self._qseq = itertools.count()
-        now = self.fleet_clock.now()
+        now = self._clock.now()
         for index in pending:
             heapq.heappush(self._queue, (now, next(self._qseq), index, 0))
         # Register every session with the clock *before* the first worker
@@ -309,7 +306,7 @@ class FleetRunner(CampaignRunner):
         # "all participants parked" and virtual time would advance before
         # the rest of the fleet had even started.
         for _ in self._sessions:
-            self.fleet_clock.add_participant()
+            self._clock.add_participant()
         workers = [
             asyncio.ensure_future(self._session_worker(session))
             for session in self._sessions
@@ -330,7 +327,7 @@ class FleetRunner(CampaignRunner):
         The caller (`_dispatch`) has already registered this worker as a
         clock participant; the worker only deregisters itself on exit.
         """
-        clock = self.fleet_clock
+        clock = self._clock
         try:
             while self._remaining:
                 now = clock.now()
@@ -362,7 +359,7 @@ class FleetRunner(CampaignRunner):
     async def _dispatch_one(
         self, session: DeviceSession, index: int, n_dispatch: int
     ) -> None:
-        clock = self.fleet_clock
+        clock = self._clock
         health = session.health
         health.dispatches += 1
         contending = self._busy
@@ -415,15 +412,12 @@ class FleetRunner(CampaignRunner):
         """
         self._redispatches += 1
         n = n_dispatch + 1
-        backoff = (
-            self.redispatch_backoff_s
-            * self.redispatch_backoff_factor**n_dispatch
-        )
+        backoff = REDISPATCH_BACKOFF_S * REDISPATCH_BACKOFF_FACTOR**n_dispatch
         u = np.random.default_rng(
             [self.seed, _REDISPATCH_SLOT, index + 1, n]
         ).random()
         backoff *= 1.0 + self.backoff_jitter * (2.0 * u - 1.0)
         heapq.heappush(
             self._queue,
-            (self.fleet_clock.now() + backoff, next(self._qseq), index, n),
+            (self._clock.now() + backoff, next(self._qseq), index, n),
         )

@@ -10,10 +10,10 @@ This package turns that into a product:
 * `MicroBatcher` — concurrent requests queue for up to ``max_wait_s`` /
   ``max_batch`` and flush as *one* ``encode_batch`` + one vectorized
   ``predict`` call, amortizing per-request overhead into the numpy paths.
-* `PredictionLRU` — a bounded cache keyed on `ArchConfig.cache_key()` in
-  front of the batcher; repeat queries short-circuit entirely.
-* `PredictionServer` — the composition, plus a stdlib-asyncio JSON-lines
-  TCP front end (``python -m repro.serve``).
+* `PredictionServer` — the composition: a bounded per-key `LRUCache`
+  keyed on `ArchConfig.cache_key()` in front of the batcher, so repeat
+  queries short-circuit entirely, plus a stdlib-asyncio JSON-lines TCP
+  front end (``python -m repro.serve``).
 
 `benchmarks/bench_serve.py` measures the request path: p50/p99 latency,
 sustained single-core throughput, and micro-batching speedup over the
@@ -21,14 +21,17 @@ one-request-one-predict baseline.
 """
 
 from .batcher import MicroBatcher
-from .cache import CachedPrediction, PredictionLRU
 from .registry import ModelEntry, ModelRegistry, ServeKey
-from .server import PredictionResult, PredictionServer, request_lines
+from .server import (
+    CachedPrediction,
+    PredictionResult,
+    PredictionServer,
+    request_lines,
+)
 
 __all__ = [
     "MicroBatcher",
     "CachedPrediction",
-    "PredictionLRU",
     "ModelEntry",
     "ModelRegistry",
     "ServeKey",

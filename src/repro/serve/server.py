@@ -4,7 +4,7 @@
 request path::
 
     submit(space, device, encoding, config)
-      └─ PredictionLRU  ── hit ───────────────► resolved future
+      └─ LRUCache       ── hit ───────────────► resolved future
          └─ MicroBatcher ── flush ─► one encode_batch + one predict
                                        on the registry's current model
 
@@ -12,8 +12,11 @@ A flush snapshots the registry entry **once**, so every response in a
 micro-batch comes from exactly one model version; a hot-swap lands
 between batches, never inside one.  Within a batch, duplicate configs
 (by `ArchConfig.cache_key()`) are encoded and predicted once and fanned
-back out.  Swapping a key replaces its prediction LRU wholesale — the
-invalidation is the same pointer flip the registry itself uses.
+back out.  Each key's cache stores the predicted latency *together with
+the model version and batch sequence* that produced it, so cached
+responses carry exactly the same provenance as computed ones.  Swapping
+a key replaces its cache wholesale — the invalidation is the same
+pointer flip the registry itself uses.
 
 The in-process API is the product (`submit` / `predict` /
 `predict_many`); `start_tcp` adds a stdlib-asyncio JSON-lines front end
@@ -32,11 +35,24 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 from ..archspace.config import ArchConfig
 from ..archspace.spaces import SpaceSpec, space_by_name
 from ..encodings import encoder_for
+from ..utils.lru import LRUCache
 from .batcher import MicroBatcher
-from .cache import CachedPrediction, PredictionLRU
 from .registry import ModelEntry, ModelRegistry, ServeKey
 
-__all__ = ["PredictionResult", "PredictionServer", "request_lines"]
+__all__ = [
+    "CachedPrediction",
+    "PredictionResult",
+    "PredictionServer",
+    "request_lines",
+]
+
+
+class CachedPrediction(NamedTuple):
+    """A memoized prediction plus the provenance of the flush that made it."""
+
+    latency_s: float
+    model_version: int
+    batch_seq: int
 
 
 class PredictionResult(NamedTuple):
@@ -79,7 +95,7 @@ class PredictionServer:
         self._batcher = MicroBatcher(
             self._flush, max_batch=max_batch, max_wait_s=max_wait_s
         )
-        self._caches: Dict[ServeKey, PredictionLRU] = {}
+        self._caches: Dict[ServeKey, LRUCache] = {}
         self._specs: Dict[str, SpaceSpec] = {}
         self._batch_seq = 0
         self.requests = 0
@@ -175,13 +191,13 @@ class PredictionServer:
     # Batch execution
     # ------------------------------------------------------------------ #
 
-    def _cache_for(self, key: ServeKey) -> PredictionLRU:
-        """The key's prediction LRU, validating the key on first sight."""
+    def _cache_for(self, key: ServeKey) -> LRUCache:
+        """The key's prediction cache, validating the key on first sight."""
         cache = self._caches.get(key)
         if cache is None:
             self.registry.get(key)  # raises the informative KeyError
             self._spec_for(key.space)  # and unknown spaces fail here too
-            cache = self._caches[key] = PredictionLRU(self.cache_size)
+            cache = self._caches[key] = LRUCache(self.cache_size)
         return cache
 
     def _spec_for(self, space: str) -> SpaceSpec:
@@ -237,9 +253,9 @@ class PredictionServer:
 
     def _on_model_change(self, key: ServeKey, entry: ModelEntry) -> None:
         # Fresh model, fresh cache: stale predictions must not outlive a
-        # swap.  Replacing the LRU object is itself an atomic rebind.
+        # swap.  Replacing the cache object is itself an atomic rebind.
         if key in self._caches:
-            self._caches[key] = PredictionLRU(self.cache_size)
+            self._caches[key] = LRUCache(self.cache_size)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -1,27 +1,30 @@
-"""Bounded LRU cache for per-config analytical results.
+"""Bounded LRU cache with hit/miss accounting (standard library only).
 
-The simulator's deterministic work — lowering an `ArchConfig` to the layer
-IR and sweeping the roofline model over every layer — is identical for
-every one of the 150 noisy runs of the same config, and reference models
-are re-measured in *every* campaign batch.  `AnalyticalCache` memoizes
-that work behind the config's `cache_key()` so a repeated measurement
-costs a dict lookup instead of an IR rebuild.
+Two hot paths memoize deterministic work behind `ArchConfig.cache_key()`:
+
+* `SimulatedDevice.analytical_cache` maps a config to its analytical
+  latency, so the 150 noisy runs of one config — and the reference
+  models re-measured every campaign batch — pay for the IR lowering and
+  roofline sweep once.
+* The prediction server keeps one cache per registry key mapping a
+  config to its `CachedPrediction`, so repeat queries skip the
+  micro-batcher; a hot swap replaces that key's cache wholesale.
 
 The cache is bounded (least-recently-used eviction) so a long campaign
-over a large sweep cannot grow memory without limit, and it keeps
+or a long-lived server cannot grow memory without limit, and it keeps
 hit/miss counters so benchmarks and tests can assert cache behaviour
 instead of guessing at it.  ``maxsize=0`` disables caching entirely —
 every lookup misses and nothing is stored — which is how the benchmark
-harness reproduces the pre-cache baseline.
+harness reproduces the uncached baseline.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Any, Hashable, Optional
 
-__all__ = ["AnalyticalCache", "CacheInfo"]
+__all__ = ["CacheInfo", "LRUCache"]
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,14 @@ class CacheInfo:
         }
 
 
-class AnalyticalCache:
-    """Bounded LRU mapping ``cache_key -> float`` with hit/miss counters."""
+class LRUCache:
+    """Bounded LRU mapping ``key -> value`` with hit/miss counters."""
 
     def __init__(self, maxsize: int = 4096):
         if maxsize < 0:
             raise ValueError("maxsize must be >= 0")
         self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Hashable, float]" = OrderedDict()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -66,7 +69,7 @@ class AnalyticalCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable) -> Optional[float]:
+    def get(self, key: Hashable) -> Optional[Any]:
         """The cached value, refreshed to most-recently-used, or None."""
         try:
             value = self._data[key]
@@ -77,7 +80,7 @@ class AnalyticalCache:
         self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: float) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Store ``value``, evicting the least-recently-used entry if full."""
         if self.maxsize == 0:
             return

@@ -1,22 +1,30 @@
 """Analytical-latency caching and the vectorized noise model.
 
-The cache tests pin down the accounting contract (hit/miss counters,
-LRU bound, profile-swap invalidation, ``cache_size=0`` opt-out).  The
-bit-identity tests replicate the original scalar noise model verbatim
-and assert ``measure`` / ``measure_batch`` reproduce it bit for bit from
-the same seeded stream: the vectorization must not move a single draw.
+The cache tests pin down the accounting contract of `LRUCache`, the one
+bounded LRU behind both the simulator's analytical cache and the
+server's prediction cache (hit/miss counters, LRU bound, ``maxsize=0``
+opt-out), and its wiring into `SimulatedDevice`
+(read-only profile, ``cache_size=0``).  The bit-identity tests replicate
+the original scalar noise model verbatim and assert ``measure`` /
+``measure_batch`` reproduce it bit for bit from the same seeded stream:
+the vectorization must not move a single draw.
 """
 
 import numpy as np
 import pytest
 
 from repro import (
-    AnalyticalCache,
+    LRUCache,
+    ModelRegistry,
+    PredictionServer,
     RandomSampler,
+    RidgePredictor,
+    ServeKey,
     SimulatedDevice,
     build_network,
     densenet_space,
     device_by_name,
+    encoder_for,
     resnet_space,
     space_by_name,
 )
@@ -28,13 +36,15 @@ def configs():
 
 
 # ---------------------------------------------------------------------- #
-# AnalyticalCache in isolation
+# The analytical cache's LRUCache in isolation
 # ---------------------------------------------------------------------- #
 
 
 class TestAnalyticalCache:
+    """`LRUCache`, the class of the analytical and the prediction caches."""
+
     def test_hit_miss_accounting(self):
-        cache = AnalyticalCache(maxsize=8)
+        cache = LRUCache(maxsize=8)
         assert cache.get("a") is None
         cache.put("a", 1.0)
         assert cache.get("a") == 1.0
@@ -44,10 +54,10 @@ class TestAnalyticalCache:
         assert info.hit_rate == pytest.approx(2 / 3)
 
     def test_hit_rate_zero_before_any_lookup(self):
-        assert AnalyticalCache().info().hit_rate == 0.0
+        assert LRUCache().info().hit_rate == 0.0
 
     def test_eviction_is_least_recently_used(self):
-        cache = AnalyticalCache(maxsize=2)
+        cache = LRUCache(maxsize=2)
         cache.put("a", 1.0)
         cache.put("b", 2.0)
         cache.get("a")  # refresh: "b" is now the LRU entry
@@ -58,7 +68,7 @@ class TestAnalyticalCache:
         assert len(cache) == 2
 
     def test_put_refreshes_existing_key(self):
-        cache = AnalyticalCache(maxsize=2)
+        cache = LRUCache(maxsize=2)
         cache.put("a", 1.0)
         cache.put("b", 2.0)
         cache.put("a", 1.5)  # overwrite refreshes, so "b" gets evicted next
@@ -67,14 +77,14 @@ class TestAnalyticalCache:
         assert cache.get("a") == 1.5
 
     def test_zero_maxsize_disables_storage(self):
-        cache = AnalyticalCache(maxsize=0)
+        cache = LRUCache(maxsize=0)
         cache.put("a", 1.0)
         assert cache.get("a") is None
         assert len(cache) == 0
         assert cache.info().misses == 1
 
     def test_clear_drops_entries_keeps_counters(self):
-        cache = AnalyticalCache()
+        cache = LRUCache()
         cache.put("a", 1.0)
         cache.get("a")
         cache.clear()
@@ -83,8 +93,18 @@ class TestAnalyticalCache:
         assert (info.hits, info.misses) == (1, 0)
 
     def test_negative_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            AnalyticalCache(maxsize=-1)
+        with pytest.raises(ValueError, match=">= 0"):
+            LRUCache(maxsize=-1)
+
+    def test_device_and_server_use_the_one_lru(self, configs):
+        spec = resnet_space()
+        X = encoder_for("fcc", spec).encode_batch(configs, spec)
+        key = ServeKey("resnet", "rtx4090", "fcc")
+        registry = ModelRegistry()
+        registry.register(key, RidgePredictor().fit(X, X.sum(axis=1)))
+        server = PredictionServer(registry)
+        assert isinstance(SimulatedDevice("rtx4090").analytical_cache, LRUCache)
+        assert isinstance(server._cache_for(key), LRUCache)
 
 
 class TestCacheKey:
@@ -137,13 +157,13 @@ class TestDeviceCache:
         assert info.size == 2
         assert info.maxsize == 2
 
-    def test_profile_swap_invalidates(self, configs):
+    def test_profile_is_read_only(self):
+        # Cached latencies are per device, so the profile cannot change
+        # under the cache.
         device = SimulatedDevice("rtx4090")
-        fast = device.true_latency(configs[0])
-        device.profile = device_by_name("raspberrypi4")
-        slow = device.true_latency(configs[0])
-        assert slow > fast  # not the stale rtx4090 entry
-        assert slow == SimulatedDevice("raspberrypi4").true_latency(configs[0])
+        with pytest.raises(AttributeError):
+            device.profile = device_by_name("raspberrypi4")
+        assert device.profile.name == "rtx4090"
 
     def test_network_targets_bypass_cache(self, configs):
         device = SimulatedDevice("rtx4090")

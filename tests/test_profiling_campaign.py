@@ -18,7 +18,6 @@ from repro import (
     CampaignRunner,
     DatasetError,
     DeviceProfile,
-    FakeClock,
     FaultPlan,
     FaultyDevice,
     LatencyDataset,
@@ -261,19 +260,6 @@ class TestFaultyCampaign:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 self.run_faulty(tmp_path, sweep_configs, spec, backoff_jitter=bad)
-
-    def test_fake_clock_absorbs_backoff_sleeps(self, sweep_configs, spec, tmp_path):
-        """With an injected `FakeClock` the campaign never really sleeps —
-        the clock just records the schedule and advances virtual time."""
-        clock = FakeClock()
-        report = self.run_faulty(
-            tmp_path, sweep_configs, spec,
-            sleep=None, clock=clock, backoff_s=30.0,
-        ).run().report
-        assert report.total_qc_retries >= 1
-        assert len(clock.sleeps) == report.total_qc_retries
-        assert clock.monotonic() == pytest.approx(sum(clock.sleeps))
-        assert all(s >= 30.0 * (1 - 0.1) for s in clock.sleeps)
 
     def test_exhausted_retries_flag_but_keep_the_batch(
         self, sweep_configs, spec, tmp_path

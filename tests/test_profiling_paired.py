@@ -1,18 +1,16 @@
 """`repro.profiling.paired`: aligned two-device measurement campaigns.
 
-Direct mode (seed-derived `measure_batch` per device) and campaign mode
-(one checkpointed `CampaignRunner` per side) both produce a
-`PairedMeasurementSet`; this file locks the invariants the transfer
+`measure_paired` (one seed-derived `measure_batch` per device) produces
+a `PairedMeasurementSet`; this file locks the invariants the transfer
 experiments lean on:
 
 * the config list is *shared* — index i is the same architecture on both
   devices — and ``prefix(n)`` is a true nested view (budget 25 is the
   first 25 pairs of budget 100),
-* direct mode is deterministic in ``(configs, seed)`` and independent
+* measurement is deterministic in ``(configs, seed)`` and independent
   across sides (the proxy stream does not shift when the target device
   changes),
-* persistence round-trips through versioned JSON,
-* campaign mode inherits QC and yields the same aligned shape.
+* persistence round-trips through versioned JSON.
 """
 
 import numpy as np
@@ -201,34 +199,4 @@ class TestPersistence:
                 target_device="b",
                 proxy_latencies=paired.proxy_latencies[:-1],
                 target_latencies=paired.target_latencies,
-            )
-
-
-class TestCampaignMode:
-    def test_campaign_mode_matches_direct_shape(self, spec, configs, tmp_path):
-        paired = measure_paired(
-            configs[:6],
-            "rtx4090",
-            "raspberrypi4",
-            protocol=PROTOCOL,
-            seed=1,
-            workdir=tmp_path / "camp",
-            spec=spec,
-        )
-        assert len(paired) == 6
-        assert (tmp_path / "camp" / "proxy").is_dir()
-        assert (tmp_path / "camp" / "target").is_dir()
-        assert np.isfinite(paired.proxy_latencies).all()
-        assert paired.proxy_true is not None
-        assert paired.target_true is not None
-
-    def test_campaign_mode_requires_spec(self, configs, tmp_path):
-        with pytest.raises(ValueError, match="spec"):
-            measure_paired(
-                configs[:4],
-                "rtx4090",
-                "raspberrypi4",
-                protocol=PROTOCOL,
-                seed=1,
-                workdir=tmp_path / "camp2",
             )

@@ -1,8 +1,13 @@
-"""PredictionLRU: bounded, LRU-ordered, counted, disable-able."""
+"""The server's prediction cache: bounded, LRU-ordered, counted, disable-able.
+
+`PredictionServer` keeps one `LRUCache` of `CachedPrediction` values per
+`ServeKey`; these tests pin that contract down with the values the server
+stores.
+"""
 
 import pytest
 
-from repro import CachedPrediction, PredictionLRU
+from repro import CachedPrediction, LRUCache
 
 
 def entry(v: float, version: int = 1, seq: int = 0) -> CachedPrediction:
@@ -11,7 +16,7 @@ def entry(v: float, version: int = 1, seq: int = 0) -> CachedPrediction:
 
 class TestPredictionLRU:
     def test_get_put_round_trip(self):
-        cache = PredictionLRU(maxsize=4)
+        cache = LRUCache(maxsize=4)
         assert cache.get("a") is None
         cache.put("a", entry(1.5, version=3, seq=7))
         hit = cache.get("a")
@@ -20,7 +25,7 @@ class TestPredictionLRU:
         assert "a" in cache and len(cache) == 1
 
     def test_counters(self):
-        cache = PredictionLRU(maxsize=4)
+        cache = LRUCache(maxsize=4)
         cache.get("missing")
         cache.put("a", entry(1.0))
         cache.get("a")
@@ -31,7 +36,7 @@ class TestPredictionLRU:
         assert info.size == 1 and info.maxsize == 4
 
     def test_lru_eviction_order(self):
-        cache = PredictionLRU(maxsize=2)
+        cache = LRUCache(maxsize=2)
         cache.put("a", entry(1.0))
         cache.put("b", entry(2.0))
         cache.get("a")  # refresh a; b is now least recently used
@@ -39,13 +44,13 @@ class TestPredictionLRU:
         assert "a" in cache and "c" in cache and "b" not in cache
 
     def test_maxsize_zero_disables(self):
-        cache = PredictionLRU(maxsize=0)
+        cache = LRUCache(maxsize=0)
         cache.put("a", entry(1.0))
         assert cache.get("a") is None
         assert len(cache) == 0
 
     def test_clear_keeps_counters(self):
-        cache = PredictionLRU(maxsize=4)
+        cache = LRUCache(maxsize=4)
         cache.put("a", entry(1.0))
         cache.get("a")
         cache.clear()
@@ -54,4 +59,4 @@ class TestPredictionLRU:
 
     def test_negative_maxsize_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            PredictionLRU(maxsize=-1)
+            LRUCache(maxsize=-1)
